@@ -194,8 +194,10 @@ class CegarConfig:
     #: frames and SAT counters for this run.  None disables tracing;
     #: the Table-3 statistics are collected either way.
     trace: Optional[Tracer] = None
-    #: Supervision (portfolio process mode): how many times a crashed
-    #: engine worker is relaunched, and the exponential backoff base.
+    #: Supervision (:mod:`repro.workers`): how many times a crashed
+    #: worker is relaunched, and the exponential backoff base.  Both
+    #: govern portfolio engine workers and speculative candidate
+    #: workers alike.
     max_worker_retries: int = 2
     retry_backoff: float = 0.1
     #: Checkpointing: how many journal entries ``run_compass`` keeps

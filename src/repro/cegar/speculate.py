@@ -18,11 +18,11 @@ schedulable unit and runs those predictions concurrently:
   settings; wall-clock-limited runs are deterministic modulo their
   time limits, exactly like the sequential loop).
 
-- :class:`SpeculativeScheduler` owns a supervised process pool in the
-  style of :mod:`repro.formal.portfolio`: crashed workers are
-  relaunched with exponential backoff, losers are cancelled on the
-  first refinement signal (terminate → join → kill), and every worker
-  streams its solve results back through the shared cache as they are
+- :class:`SpeculativeScheduler` runs the predictions on the supervised
+  :class:`~repro.workers.WorkerPool` the portfolio also uses: crashed
+  workers are relaunched with exponential backoff, losers are
+  cancelled on the first refinement signal, and every worker streams
+  its solve results back through the shared cache as they are
   produced — a cancelled loser's work still warms the (store-backed)
   cache for the next iteration.  With ``remote`` set, candidates are
   dispatched to the job daemon as ``candidate`` jobs instead; remote
@@ -39,11 +39,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.formal.bmc import BmcStatus, bounded_model_check
-from repro.formal.cache import CacheStats, SolveCache
+from repro.formal.cache import SolveCache
 from repro.formal.counterexample import Counterexample
 from repro.formal.induction import InductionStatus, k_induction
 from repro.formal.portfolio import (
@@ -51,10 +51,10 @@ from repro.formal.portfolio import (
     PortfolioConfig,
     PortfolioResult,
     PortfolioStatus,
-    _StreamingCache,
     verify_portfolio,
 )
 from repro.obs import NULL_TRACER, Tracer
+from repro.workers import POLL_INTERVAL, WorkerPool
 from repro.taint.policies import effective_complexity
 from repro.taint.scheme_io import scheme_to_dict
 from repro.taint.space import TaintOption, TaintScheme, refinement_ladder
@@ -343,55 +343,19 @@ def predict_candidates(
 # Worker process entry point
 # ---------------------------------------------------------------------------
 
-def _candidate_worker(queue, digest, task, scheme, config, time_limit,
-                      seed_entries, traced=False, attempt=0):
-    """Run :func:`verify_candidate` in a pool process.
+def _speculate_candidate(task, scheme, config, *, time_limit, cache, tracer):
+    """Pool target: :func:`verify_candidate` in a candidate worker.
 
-    Solve results stream to the parent as they are produced (through
-    :class:`~repro.formal.portfolio._StreamingCache` under the
-    ``spec`` engine label), so a cancelled loser's partial work — and
-    the memoized portfolio verdict of a completed one — still reaches
-    the shared (store-backed) cache.
+    The worker's cache streams every solve to the parent (under the
+    ``spec`` label), so a cancelled loser's partial work — and the
+    memoized portfolio verdict of a completed one — still reaches the
+    shared (store-backed) cache.
     """
-    import os
-
-    faults = config.faults
-    local = _StreamingCache(queue, SPEC_ENGINE, faults=faults,
-                            attempt=attempt)
-    if seed_entries:
-        local.merge_entries(seed_entries)
-    baseline = replace(local.stats)
-    tracer = Tracer() if traced else None
-    try:
-        verdict = verify_candidate(
-            task, scheme, config, cache=local, tracer=tracer,
-            time_limit=time_limit, in_worker=True,
-        )
-        verdict.source = "speculative"
-        stats = local.stats
-        stats.hits -= baseline.hits  # report only this worker's traffic
-        stats.misses -= baseline.misses
-        stats.stores -= baseline.stores
-        stats.evictions -= baseline.evictions
-        stats.rejected -= baseline.rejected
-        msg = {
-            "type": "spec-verdict", "digest": digest, "verdict": verdict,
-            "entries": local.snapshot_entries(), "cache_stats": stats,
-        }
-        if tracer is not None:
-            msg["trace_events"] = tracer.snapshot_events()
-            msg["trace_pid"] = os.getpid()
-        if faults is not None:
-            delay = faults.verdict_delay(SPEC_ENGINE, attempt)
-            if delay > 0:
-                time.sleep(delay)
-        queue.put(msg)
-    except Exception as exc:  # pragma: no cover - shipped as a miss
-        queue.put({
-            "type": "spec-verdict", "digest": digest, "verdict": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "entries": local.snapshot_entries(), "cache_stats": CacheStats(),
-        })
+    verdict = verify_candidate(task, scheme, config, cache=cache,
+                               tracer=tracer, time_limit=time_limit,
+                               in_worker=True)
+    verdict.source = "speculative"
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +368,8 @@ class _Slot:
 
     digest: str
     scheme: TaintScheme
-    state: str = "running"  # running | delayed | done | failed | cancelled
-    proc: Any = None
-    thread: Any = None
-    started: float = 0.0
-    kill_at: Optional[float] = None      # backstop past the time budget
-    relaunch_at: float = 0.0             # crashed: not before this time
-    attempts: int = 0
-    retries: int = 0
+    state: str = "running"  # running | done | failed | cancelled
     time_limit: Optional[float] = None
-    dead_since: Optional[float] = None
     job: Optional[Dict[str, Any]] = None  # remote mode submission doc
 
 
@@ -432,16 +388,16 @@ class SpeculativeScheduler:
     ``advance`` reconciles the in-flight set against the new wave:
     slots whose candidate survives are *promoted* (kept running), the
     rest are cancelled — first-refinement-signal-wins, mirroring the
-    per-property portfolio race.  All worker solve traffic merges into
-    ``cache`` (losers included), and per-candidate tracer spans are
-    adopted onto the parent timeline under the worker's pid track.
+    per-property portfolio race.  Local candidates run in a
+    :class:`~repro.workers.WorkerPool` keyed by scheme digest: all
+    worker solve traffic merges into ``cache`` (losers included), and
+    per-candidate tracer spans are adopted onto the parent timeline.
+    A candidate whose worker cannot start or fails for good is a miss.
     """
 
     def __init__(self, task, config, cache: Optional[SolveCache],
                  stats, tracer: Optional[Tracer] = None,
                  remote: Optional[str] = None) -> None:
-        import multiprocessing
-
         # The stimulus sampler is a closure (unpicklable) and only the
         # sim prefilter uses it — workers never do.
         self.task = replace(task, stimulus_sampler=None)
@@ -456,14 +412,14 @@ class SpeculativeScheduler:
         self._slots: Dict[str, _Slot] = {}
         self._results: Dict[str, CandidateVerdict] = {}
         self._closed = False
+        self._pool = None
         if remote is None:
-            self._ctx = multiprocessing.get_context()
-            self._queue = self._ctx.Queue()
+            self._pool = WorkerPool(cache, self.tracer, faults=config.faults,
+                                    max_retries=config.max_worker_retries,
+                                    backoff=config.retry_backoff)
         else:
             import threading
 
-            self._ctx = None
-            self._queue = None
             self._lock = threading.Lock()
             self._remote_task_doc = self._build_remote_task_doc()
 
@@ -472,7 +428,7 @@ class SpeculativeScheduler:
     def in_flight(self) -> List[str]:
         """Digests of candidates currently speculated on (for snapshots)."""
         return sorted(d for d, s in self._slots.items()
-                      if s.state in ("running", "delayed"))
+                      if s.state == "running")
 
     def snapshot(self) -> Dict[str, Any]:
         """Checkpointable record of the in-flight speculation."""
@@ -493,14 +449,13 @@ class SpeculativeScheduler:
         """
         if self._closed:
             return
-        self._drain()
+        self._pump()
         digest = scheme_digest(scheme)
         if digest in self._results or digest in self._slots:
             return
-        if len(self._active()) >= self.jobs:
+        if len(self.in_flight()) >= self.jobs:
             victim = next((d for d in reversed(list(self._slots))
-                           if self._slots[d].state in ("running", "delayed")),
-                          None)
+                           if self._slots[d].state == "running"), None)
             if victim is None:
                 return
             self._cancel(victim)
@@ -516,21 +471,18 @@ class SpeculativeScheduler:
         """
         if self._closed:
             return
-        self._drain()
+        self._pump()
         self.stats.spec_waves += 1
         wanted = {}
         for scheme in wave[:self.jobs]:
             wanted.setdefault(scheme_digest(scheme), scheme)
-        for digest in list(self._slots):
-            slot = self._slots[digest]
-            if slot.state not in ("running", "delayed"):
-                continue
+        for digest in self.in_flight():
             if digest in wanted:
                 self.stats.spec_promoted += 1
             else:
                 self._cancel(digest)
         for digest, scheme in wanted.items():
-            if len(self._active()) >= self.jobs:
+            if len(self.in_flight()) >= self.jobs:
                 break
             if digest in self._slots or digest in self._results:
                 continue
@@ -540,10 +492,9 @@ class SpeculativeScheduler:
         """Drop the speculation on ``scheme`` (the prefilter beat it)."""
         if self._closed:
             return
-        self._drain()
+        self._pump()
         digest = scheme_digest(scheme)
-        if digest in self._slots and self._slots[digest].state in (
-                "running", "delayed"):
+        if digest in self._slots and self._slots[digest].state == "running":
             self._cancel(digest)
         self._results.pop(digest, None)
 
@@ -570,20 +521,13 @@ class SpeculativeScheduler:
         """Cancel everything in flight and tear the pool down."""
         if self._closed:
             return
-        for digest in list(self._slots):
-            if self._slots[digest].state in ("running", "delayed"):
-                self._cancel(digest)
-        self._drain()
-        if self._queue is not None:
-            self._queue.close()
-            self._queue.cancel_join_thread()
+        for digest in self.in_flight():
+            self._cancel(digest)
+        if self._pool is not None:
+            self._pool.close()
         self._closed = True
 
-    # -- submission --------------------------------------------------------
-
-    def _active(self) -> List[_Slot]:
-        return [s for s in self._slots.values()
-                if s.state in ("running", "delayed")]
+    # -- local workers -----------------------------------------------------
 
     def _submit(self, scheme: TaintScheme, digest: str,
                 time_limit: Optional[float]) -> None:
@@ -598,144 +542,52 @@ class SpeculativeScheduler:
             self._launch(slot)
 
     def _launch(self, slot: _Slot) -> None:
-        seed = self.cache.snapshot_entries() if self.cache is not None else None
-        attempt = slot.attempts
-        slot.attempts += 1
-        proc = self._ctx.Process(
-            target=_candidate_worker,
-            args=(self._queue, slot.digest, self.task, slot.scheme,
-                  self.config, slot.time_limit, seed, self.tracer.enabled,
-                  attempt),
-            daemon=True,
-        )
-        proc.start()
-        slot.proc = proc
-        slot.started = time.monotonic()
-        slot.state = "running"
-        slot.dead_since = None
-        budget = slot.time_limit
-        slot.kill_at = None if budget is None else budget + 2.0 + 0.25 * budget
+        try:
+            self._pool.launch(slot.digest, _speculate_candidate,
+                              (self.task, slot.scheme, self.config),
+                              slot.time_limit, label=SPEC_ENGINE)
+        except OSError:
+            # No worker processes here (restricted environment): a
+            # miss, so the loop verifies this candidate inline.
+            slot.state = "failed"
 
     def _cancel(self, digest: str) -> None:
-        slot = self._slots[digest]
-        slot.state = "cancelled"
+        self._slots[digest].state = "cancelled"
         self.stats.spec_cancelled += 1
         self.tracer.count("speculate.cancelled")
-        if slot.proc is not None:
-            self._reap(slot)
+        if self._pool is not None:
+            self._pool.cancel(digest)
         # Remote cancellation is advisory: the daemon completes the job
         # and its verdict warms the daemon-side store; we just stop
         # listening (the submission thread is a daemon thread).
 
-    def _reap(self, slot: _Slot) -> None:
-        proc = slot.proc
-        if proc is None:
+    def _pump(self, timeout: float = 0.0) -> None:
+        """Relaunch due crashed workers and fold in the pool's events."""
+        if self._pool is None:
             return
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - ignores SIGTERM: escalate
-            proc.kill()
-            proc.join(timeout=5.0)
-        slot.proc = None
-
-    # -- result plumbing ---------------------------------------------------
-
-    def _drain(self, timeout: Optional[float] = None) -> bool:
-        """Pump queued worker messages; True when a verdict arrived."""
-        if self._queue is None:
-            return False
-        import queue as queue_mod
-
-        got_verdict = False
-        while True:
-            try:
-                msg = self._queue.get(timeout=timeout) if timeout else \
-                    self._queue.get_nowait()
-            except queue_mod.Empty:
-                return got_verdict
-            timeout = None  # only block for the first message
-            if msg.get("type") == "entry":
-                if self.cache is not None:
-                    self.cache.merge_entries(
-                        {str(msg["key"]): msg["entry"]})
-                continue
-            if msg.get("type") == "spec-verdict":
-                got_verdict = True
-                self._finish(msg)
-
-    def _finish(self, msg: Dict[str, Any]) -> None:
-        digest = str(msg["digest"])
-        slot = self._slots.get(digest)
-        # Losers warm the cache too: merge entries no matter the state.
-        if self.cache is not None:
-            self.cache.merge_entries(msg.get("entries") or {})
-            stats = msg.get("cache_stats")
-            if isinstance(stats, CacheStats):
-                self.cache.stats.hits += stats.hits
-                self.cache.stats.misses += stats.misses
-                self.cache.stats.rejected += stats.rejected
-        if self.tracer.enabled and msg.get("trace_events"):
-            self.tracer.adopt(msg["trace_events"])
-            self.tracer.label_track(int(msg["trace_pid"]),
-                                    f"{SPEC_ENGINE} worker")
-        if slot is None or slot.state == "cancelled":
-            return
-        verdict = msg.get("verdict")
-        if verdict is None:
-            # In-worker exception: deterministic, so retrying is
-            # pointless — record a miss and let the loop run inline
-            # (which reproduces the error if it is real).
-            slot.state = "failed"
-            self._reap(slot)
-            return
-        slot.state = "done"
-        self._reap(slot)
-        self._results[digest] = verdict
-
-    def _supervise(self) -> None:
-        """Crash/backstop policing for all running local workers."""
-        now = time.monotonic()
-        for slot in list(self._slots.values()):
-            if slot.state == "delayed":
-                if now >= slot.relaunch_at:
-                    self._launch(slot)
-                continue
-            if slot.state != "running" or slot.proc is None:
-                continue
-            if slot.kill_at is not None and now - slot.started > slot.kill_at:
-                # Wedged past its budget plus grace: cut it loose.
-                self._reap(slot)
+        for digest in self._pool.due():
+            self._launch(self._slots[digest])
+        for event in self._pool.poll(timeout):
+            slot = self._slots[event.key]
+            if event.kind == "crashed":
+                self.stats.spec_crashes += 1
+                self.tracer.count("speculate.worker_crashes")
+                if event.retry_in is not None:
+                    self.stats.spec_retries += 1
+                    self.tracer.count("speculate.worker_retries")
+                    continue
+                self.tracer.count("speculate.worker_crashes_unrecovered")
+            if event.kind == "result":
+                slot.state = "done"
+                self._results[event.key] = event.result
+            else:
+                # In-worker errors are deterministic and a wedged or
+                # dead-for-good worker is not worth more time: a miss,
+                # and the loop verifies inline (reproducing any real
+                # error).
                 slot.state = "failed"
-                continue
-            if not slot.proc.is_alive():
-                # Verdict may still be in flight through the queue.
-                if slot.dead_since is None:
-                    slot.dead_since = now
-                elif now - slot.dead_since > 1.0:
-                    self._crash(slot)
-
-    def _crash(self, slot: _Slot) -> None:
-        proc = slot.proc
-        exitcode = proc.exitcode if proc is not None else None
-        self._reap(slot)
-        slot.dead_since = None
-        self.stats.spec_crashes += 1
-        self.tracer.count("speculate.worker_crashes")
-        if slot.retries < self.config.max_worker_retries:
-            backoff = self.config.retry_backoff * (2 ** slot.retries)
-            slot.retries += 1
-            slot.state = "delayed"
-            slot.relaunch_at = time.monotonic() + backoff
-            self.stats.spec_retries += 1
-            self.tracer.count("speculate.worker_retries")
-        else:
-            slot.state = "failed"
-            self.tracer.count("speculate.worker_crashes_unrecovered")
-            _ = exitcode  # recorded via counters; no report object here
 
     def _wait(self, digest: str) -> Optional[CandidateVerdict]:
-        poll = getattr(self.config, "poll_interval", 0.05) or 0.05
         while True:
             if digest in self._results:
                 return self._results.pop(digest)
@@ -743,10 +595,9 @@ class SpeculativeScheduler:
             if slot is None or slot.state in ("cancelled", "failed"):
                 return None
             if self.remote is not None:
-                time.sleep(poll)
+                time.sleep(POLL_INTERVAL)
                 continue
-            self._drain(timeout=poll)
-            self._supervise()
+            self._pump(POLL_INTERVAL)
 
     # -- remote mode -------------------------------------------------------
 
@@ -799,12 +650,9 @@ class SpeculativeScheduler:
                 "retry_backoff": config.retry_backoff,
             },
         }
-        slot.started = time.monotonic()
         slot.state = "running"
-        thread = threading.Thread(target=self._remote_worker, args=(slot,),
-                                  daemon=True)
-        slot.thread = thread
-        thread.start()
+        threading.Thread(target=self._remote_worker, args=(slot,),
+                         daemon=True).start()
 
     def _remote_worker(self, slot: _Slot) -> None:
         try:

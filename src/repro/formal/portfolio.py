@@ -9,9 +9,9 @@ module reproduces that scheduling layer over our own engines:
 - **pdr** — IC3-family unbounded proof, definitive on both outcomes;
 - **kind** — k-induction, definitive on proofs and base-case violations.
 
-:func:`verify_portfolio` runs the engines concurrently in
-``multiprocessing`` worker processes (at most ``jobs`` at a time), each
-under its own wall-clock deadline.  The first *definitive* verdict wins:
+:func:`verify_portfolio` runs the engines concurrently in supervised
+worker processes (:mod:`repro.workers`, at most ``jobs`` at a time),
+each under its own wall-clock deadline.  The first *definitive* verdict wins:
 the remaining workers are terminated and their partial results (depths
 proven clean so far) are folded into the final bound.  Engines beyond
 the ``jobs`` limit are queued; when a running engine retires without a
@@ -43,13 +43,13 @@ from repro.faults import FaultPlan
 from repro.hdl.circuit import Circuit
 from repro.hdl.lowering import LoweredCircuit
 from repro.formal.bmc import BmcStatus, _as_lowered, bounded_model_check
-from repro.formal.cache import CachedVerdict, CacheStats, SolveCache, solve_key
+from repro.formal.cache import CachedVerdict, SolveCache, solve_key
 from repro.formal.certificate import Certificate, check_certificate
 from repro.formal.counterexample import Counterexample
 from repro.formal.induction import InductionStatus, k_induction
 from repro.formal.pdr import PdrStatus, pdr_prove
 from repro.formal.properties import SafetyProperty
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import NULL_TRACER
 
 #: Engine launch order.  BMC first: it retires quickly on small bounds
 #: and its cached frames seed the k-induction base case; PDR second as
@@ -99,13 +99,8 @@ class PortfolioConfig:
     start_bound: int = 0
     #: Frame budget of the ``static`` engine's bounded ternary pass.
     static_max_frames: int = 64
-    #: multiprocessing start method ("fork"/"spawn"); None picks the
-    #: platform default.
-    start_method: Optional[str] = None
     #: Skip process workers entirely (forced degraded mode).
     force_sequential: bool = False
-    #: How often the scheduler polls workers for results/deadlines.
-    poll_interval: float = 0.05
     #: Supervision: how many times a *crashed* worker (process dead
     #: without shipping a verdict — OOM kill, segfault, injected fault)
     #: is relaunched before its engine is written off.  Deadline and
@@ -190,7 +185,7 @@ def _run_engine(
     lowered: LoweredCircuit,
     prop: SafetyProperty,
     config: PortfolioConfig,
-    deadline: Optional[float],
+    time_limit: Optional[float],
     cache: Optional[SolveCache],
     tracer=None,
 ) -> Dict[str, object]:
@@ -202,7 +197,7 @@ def _run_engine(
     started = time.monotonic()
     if engine == "bmc":
         res = bounded_model_check(
-            lowered, prop, max_bound=config.max_bound, time_limit=deadline,
+            lowered, prop, max_bound=config.max_bound, time_limit=time_limit,
             start_bound=config.start_bound,
             max_conflicts=config.max_conflicts, cache=cache, tracer=tracer,
         )
@@ -218,7 +213,7 @@ def _run_engine(
         }
     if engine == "kind":
         res = k_induction(
-            lowered, prop, max_k=config.induction_max_k, time_limit=deadline,
+            lowered, prop, max_k=config.induction_max_k, time_limit=time_limit,
             unique_states=config.unique_states,
             max_conflicts=config.max_conflicts, cache=cache, tracer=tracer,
         )
@@ -235,7 +230,7 @@ def _run_engine(
         }
     if engine == "pdr":
         res = pdr_prove(
-            lowered, prop, max_frames=config.pdr_max_frames, time_limit=deadline,
+            lowered, prop, max_frames=config.pdr_max_frames, time_limit=time_limit,
             max_conflicts=config.max_conflicts, tracer=tracer,
         )
         definitive = res.status in (PdrStatus.PROVED, PdrStatus.COUNTEREXAMPLE)
@@ -272,92 +267,6 @@ def _run_engine(
         }
     raise ValueError(f"unknown portfolio engine {engine!r} "
                      f"(expected one of {ENGINE_NAMES})")
-
-
-class _StreamingCache(SolveCache):
-    """Worker-side cache that forwards every store to the parent.
-
-    Entries reach the scheduler as soon as they are solved, not only
-    with the final verdict — so an engine launched from the queue is
-    seeded with everything the running engines have learned so far,
-    and a terminated loser's partial work still survives.
-    """
-
-    def __init__(self, queue, engine: str,
-                 faults: Optional[FaultPlan] = None, attempt: int = 0) -> None:
-        super().__init__()
-        self._queue = queue
-        self._engine = engine
-        self._faults = faults
-        self._attempt = attempt
-
-    def put(self, key: str, entry: CachedVerdict) -> None:
-        super().put(key, entry)
-        payload = entry
-        if self._faults is not None:
-            # Injected message loss/corruption; None drops the message.
-            payload = self._faults.filter_entry(self._engine, self._attempt,
-                                                entry)
-        if payload is not None:
-            try:
-                self._queue.put({"type": "entry", "engine": self._engine,
-                                 "key": key, "entry": payload})
-            except Exception:  # pragma: no cover - queue torn down mid-put
-                pass
-        if self._faults is not None:
-            # One put == one completed solve; may os._exit the worker.
-            self._faults.on_worker_solve(self._engine, self._attempt)
-
-
-def _worker_main(queue, engine, lowered, prop, config, deadline, seed_entries,
-                 traced=False, attempt=0):
-    """Entry point of an engine worker process.
-
-    ``attempt`` counts supervised relaunches (0 on the first launch);
-    the fault plan uses it to scope injected faults to one attempt so a
-    retried worker runs clean.
-
-    With ``traced`` the worker records into its own local
-    :class:`~repro.obs.Tracer` (absolute monotonic timestamps, the
-    worker's pid as track id) and ships the events with its verdict;
-    the scheduler merges them onto the parent timeline.  Workers killed
-    by the scheduler backstop lose their events — acceptable, as they
-    normally retire on their own through the in-worker time budget.
-    """
-    import os
-
-    faults = config.faults
-    local = _StreamingCache(queue, engine, faults=faults, attempt=attempt)
-    if seed_entries:
-        local.merge_entries(seed_entries)
-    baseline = replace(local.stats)
-    tracer = Tracer() if traced else None
-    try:
-        verdict = _run_engine(engine, lowered, prop, config, deadline, local,
-                              tracer=tracer)
-        verdict["entries"] = local.snapshot_entries()
-        stats = local.stats
-        stats.hits -= baseline.hits  # report only this worker's traffic
-        stats.misses -= baseline.misses
-        stats.stores -= baseline.stores
-        stats.evictions -= baseline.evictions
-        stats.rejected -= baseline.rejected
-        verdict["cache_stats"] = stats
-        if tracer is not None:
-            verdict["trace_events"] = tracer.snapshot_events()
-            verdict["trace_pid"] = os.getpid()
-        if faults is not None:
-            delay = faults.verdict_delay(engine, attempt)
-            if delay > 0:
-                time.sleep(delay)
-        queue.put(verdict)
-    except Exception as exc:  # pragma: no cover - defensive
-        queue.put({
-            "engine": engine, "status": "error", "definitive": False,
-            "proved": False, "bound": -1, "counterexample": None,
-            "elapsed": 0.0, "entries": {}, "cache_stats": CacheStats(),
-            "detail": f"{type(exc).__name__}: {exc}",
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +393,15 @@ def _run_processes(
     tracer=None,
 ) -> PortfolioResult:
     """Process mode: up to ``jobs`` concurrent engine workers."""
-    import multiprocessing
-    import queue as queue_mod
+    from repro.workers import POLL_INTERVAL, WorkerPool
 
     tracer = tracer or NULL_TRACER
-    ctx = (multiprocessing.get_context(config.start_method)
-           if config.start_method else multiprocessing.get_context())
-    result_queue = ctx.Queue()
     reports = {name: EngineReport(name) for name in config.engines}
     pending = list(config.engines)
-    # engine -> (process, launch time, kill-at budget)
-    running: Dict[str, Tuple[object, float, Optional[float]]] = {}
-    delayed: Dict[str, float] = {}                  # crashed, relaunch not before
-    dead_since: Dict[str, float] = {}               # exit seen, verdict not yet
     winner: Optional[Dict[str, object]] = None
+    pool = WorkerPool(cache, tracer, faults=config.faults,
+                      max_retries=config.max_worker_retries,
+                      backoff=config.retry_backoff)
 
     def launch(engine: str) -> bool:
         """Start one engine worker; False when its budget is spent.
@@ -505,9 +409,8 @@ def _run_processes(
         The engine's wall-clock budget (its own deadline capped by the
         remaining overall time) is enforced *inside* the worker as the
         engine ``time_limit``, so the worker retires on its own with a
-        partial verdict and its cache entries intact.  Parent-side
-        termination is only the backstop for a wedged worker, with a
-        grace allowance past the budget.
+        partial verdict and its cache entries intact; the pool's
+        backstop only catches a wedged worker.
         """
         budget = config.deadline_for(engine)
         if config.time_limit is not None:
@@ -519,172 +422,70 @@ def _run_processes(
                 # remaining window over the unfinished engines so the
                 # ones queued behind the ``jobs`` limit are guaranteed
                 # a slot before the overall deadline.
-                unfinished = 1 + len(pending) + len(running) + len(delayed)
+                unfinished = (1 + len(pending) + len(pool.running())
+                              + len(pool.waiting()))
                 share = remaining * jobs / unfinished
                 budget = share if budget is None else min(budget, share)
             budget = remaining if budget is None else min(budget, remaining)
-        # Relaunches are seeded with the current cache snapshot, which
-        # includes everything the crashed attempt streamed back before
-        # dying — a retried worker resumes from that work, it does not
-        # start over.
-        seed = cache.snapshot_entries() if cache is not None else None
-        attempt = reports[engine].attempts
+        pool.launch(engine, _run_engine, (engine, lowered, prop, config),
+                    budget)
         reports[engine].attempts += 1
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(result_queue, engine, lowered, prop, config, budget, seed,
-                  tracer.enabled, attempt),
-            daemon=True,
-        )
-        proc.start()
-        kill_at = None if budget is None else budget + 2.0 + 0.25 * budget
-        running[engine] = (proc, time.monotonic(), kill_at)
         return True
 
-    def reap(engine: str, status: str) -> None:
-        proc, engine_started, _kill_at = running.pop(engine)
-        dead_since.pop(engine, None)
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - ignores SIGTERM: escalate
-            proc.kill()
-            proc.join(timeout=5.0)
-        reports[engine].status = status
-        reports[engine].elapsed = time.monotonic() - engine_started
-
-    def supervise_crash(engine: str) -> None:
-        """A worker died without a verdict: back off and retry, or give up.
-
-        ``crashed`` is distinct from ``deadline`` (budget spent, worker
-        reaped by the backstop) and ``error`` (in-worker exception,
-        reported through the queue): only crashes are worth retrying —
-        the work is recoverable and the cause (OOM kill, segfault) is
-        usually environmental.
-        """
-        proc, engine_started, _kill_at = running.pop(engine)
-        proc.join(timeout=5.0)
-        dead_since.pop(engine, None)
-        report = reports[engine]
-        report.elapsed = time.monotonic() - engine_started
-        exitcode = proc.exitcode
-        tracer.count("portfolio.worker_crashes")
-        if report.retries < config.max_worker_retries:
-            backoff = config.retry_backoff * (2 ** report.retries)
-            report.retries += 1
-            report.status = "retrying"
-            report.detail = (f"crashed (exit {exitcode}), "
-                             f"retry {report.retries} in {backoff:.2f}s")
-            delayed[engine] = time.monotonic() + backoff
-            tracer.count("portfolio.worker_retries")
-        else:
-            report.status = "crashed"
-            report.detail = (f"exit {exitcode} after "
-                             f"{report.attempts} attempt(s)")
-
     try:
-        while running or pending or delayed:
-            now = time.monotonic()
-            for engine in [e for e, at in delayed.items() if now >= at]:
-                # Backoff expired: relaunch the crashed engine ahead of
-                # anything still queued behind the jobs limit.
-                delayed.pop(engine)
-                pending.insert(0, engine)
-            while len(running) < jobs and pending:
+        while pending or pool.running() or pool.waiting():
+            # Crashed engines whose backoff expired relaunch ahead of
+            # anything still queued behind the jobs limit.
+            pending[:0] = pool.due()
+            while len(pool.running()) < jobs and pending:
                 if not launch(pending.pop(0)):
                     # Overall budget exhausted before this engine got a
                     # slot; its report stays "not_run".
                     pending.clear()
-                    delayed.clear()
                     break
             if (config.time_limit is not None
                     and time.monotonic() - started > config.time_limit + 5.0):
                 # Backstop only: workers receive the remaining overall
                 # budget as their own time_limit, so they normally ship
                 # a (partial) verdict before this fires.
-                pending.clear()
-                delayed.clear()
-                for engine in list(running):
-                    reap(engine, "cancelled")
                 break
-            if not running:
-                if delayed:  # nothing to poll; sleep out the backoff
-                    time.sleep(min(config.poll_interval,
-                                   max(0.0, min(delayed.values())
-                                       - time.monotonic())))
-                continue
-            try:
-                verdict = result_queue.get(timeout=config.poll_interval)
-            except queue_mod.Empty:
-                verdict = None
-            if verdict is not None and verdict.get("type") == "entry":
-                # A streamed solve result from a still-running worker.
-                if cache is not None:
-                    cache.merge_entries({str(verdict["key"]): verdict["entry"]})
-                continue
-            if verdict is not None:
-                engine = str(verdict["engine"])
-                if engine in running:
-                    proc, engine_started, _kill_at = running.pop(engine)
-                    dead_since.pop(engine, None)
-                    proc.join(timeout=5.0)
-                    report = reports[engine]
+            for event in pool.poll(POLL_INTERVAL):
+                report = reports[event.key]
+                report.elapsed = event.elapsed
+                if event.kind == "result":
+                    verdict = event.result
                     report.status = str(verdict["status"])
                     report.bound = int(verdict["bound"])
                     report.elapsed = float(verdict["elapsed"])
                     report.detail = str(verdict.get("detail", ""))
-                    if tracer.enabled and verdict.get("trace_events"):
-                        tracer.adopt(verdict["trace_events"])
-                        tracer.label_track(int(verdict["trace_pid"]),
-                                           f"{engine} worker")
-                    if cache is not None:
-                        cache.merge_entries(verdict.get("entries") or {})
-                        stats = verdict.get("cache_stats")
-                        if isinstance(stats, CacheStats):
-                            # Worker lookups count toward the shared stats;
-                            # its stores already counted via merge_entries.
-                            cache.stats.hits += stats.hits
-                            cache.stats.misses += stats.misses
-                            cache.stats.rejected += stats.rejected
-                    if verdict["definitive"]:
+                    if verdict["definitive"] and winner is None:
                         winner = verdict
-                        for other in list(running):
-                            reap(other, "cancelled")
-                        for other in delayed:
-                            reports[other].status = "cancelled"
-                        delayed.clear()
-                        pending.clear()
-                        break
-                continue  # a result may unblock a queued engine below
-            # No result this tick: enforce the per-engine backstop and
-            # notice workers that died without reporting a verdict.
-            now = time.monotonic()
-            for engine in list(running):
-                proc, engine_started, kill_at = running[engine]
-                if kill_at is not None and now - engine_started > kill_at:
-                    # Worker overran its own time_limit by the grace
-                    # allowance: assume it is wedged and cut it loose.
-                    reap(engine, "deadline")
-                elif not proc.is_alive():
-                    # The process exited; its verdict may still be in
-                    # flight through the queue, so give it a grace
-                    # period before treating the exit as a crash.
-                    if engine not in dead_since:
-                        dead_since[engine] = now
-                    elif now - dead_since[engine] > 1.0:
-                        supervise_crash(engine)
+                elif event.kind in ("error", "deadline"):
+                    report.status = event.kind
+                    report.detail = event.detail
+                else:  # crashed: only crashes are worth retrying
+                    tracer.count("portfolio.worker_crashes")
+                    report.retries = event.retries
+                    if event.retry_in is not None:
+                        report.status = "retrying"
+                        report.detail = (
+                            f"crashed (exit {event.exitcode}), "
+                            f"retry {report.retries} in {event.retry_in:.2f}s")
+                        tracer.count("portfolio.worker_retries")
+                    else:
+                        report.status = "crashed"
+                        report.detail = (f"exit {event.exitcode} after "
+                                         f"{report.attempts} attempt(s)")
+            if winner is not None:
+                break
     finally:
-        pending.clear()
-        for engine in delayed:
-            if reports[engine].status == "retrying":
-                reports[engine].status = "cancelled"
-        delayed.clear()
-        for engine in list(running):
-            reap(engine, "cancelled")
-        # Close our end of the queue and drop its feeder thread so a
-        # half-drained queue can never hang interpreter shutdown.
-        result_queue.close()
-        result_queue.cancel_join_thread()
+        for engine in pool.running():
+            reports[engine].status = "cancelled"
+            reports[engine].elapsed = pool.cancel(engine)
+        for report in reports.values():
+            if report.status == "retrying":
+                report.status = "cancelled"
+        pool.close()
 
     return _finalize(reports, config.engines, winner,
                      time.monotonic() - started, mode="process")

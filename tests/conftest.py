@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
 
 from repro.hdl import ModuleBuilder
 from repro.hdl.cells import CellOp
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail any test that leaves a child process of its own running.
+
+    Worker pools must reap every process they start, on every path.
+    Children that are still exiting get a brief join; whatever is left
+    is named in the failure, then killed so later tests start clean.
+    """
+    before = {proc.pid for proc in multiprocessing.active_children()}
+    yield
+    leaked = [proc for proc in multiprocessing.active_children()
+              if proc.pid not in before]
+    for proc in leaked:
+        proc.join(timeout=1.0)
+    alive = [proc for proc in leaked if proc.is_alive()]
+    for proc in alive:
+        proc.kill()
+        proc.join(timeout=5.0)
+    if alive:
+        names = ", ".join(f"{proc.name} (pid {proc.pid})" for proc in alive)
+        pytest.fail(f"test leaked child processes: {names}")
 
 
 @pytest.fixture

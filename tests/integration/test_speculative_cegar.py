@@ -260,6 +260,21 @@ class TestFaultedSpeculation:
         spec = run_compass(fig2_task(), config)
         assert _fingerprint(spec) == _fingerprint(base)
 
+    def test_no_process_support_verifies_inline(self, monkeypatch):
+        """A pool that cannot start workers turns every candidate into
+        a miss; the loop verifies inline and matches the sequential walk."""
+        base = _run(fig2_task, 0)
+
+        def no_queue(self, *args, **kwargs):
+            raise OSError("no process support here")
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Queue",
+                            no_queue)
+        spec = _run(fig2_task, 1)
+        assert _fingerprint(spec) == _fingerprint(base)
+        assert spec.stats.spec_hits == 0
+        assert spec.stats.spec_misses >= 1
+
 
 class TestCheckpointing:
     def test_checkpoints_record_speculation(self, tmp_path):
