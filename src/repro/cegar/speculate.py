@@ -180,15 +180,6 @@ def verify_candidate(
             verdict.static_skipped_bounds = start_bound
             tracer.count("analyze.skipped_bounds", start_bound)
 
-    if config.mc_enabled and config.engine != "static" \
-            and config.faults is not None:
-        # Injected backend latency (chaos/bench): sleep in whichever
-        # process dispatches the model-checking call, so the latency
-        # overlaps across processes like a real slow solve service.
-        lag = config.faults.solve_delay()
-        if lag > 0:
-            time.sleep(lag)
-
     if not config.mc_enabled or config.engine == "static":
         pass  # no model checker to consult; stop at the bound
     elif config.engine == "portfolio":

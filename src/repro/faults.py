@@ -16,10 +16,6 @@ journal consult at well-defined injection points:
   reject it);
 - :func:`delay_verdict` — sleep before shipping the final verdict
   (simulates a slow worker racing the scheduler's deadline backstop);
-- :func:`delay_solve` — sleep before every model-checking call
-  (emulates a slow solve backend — a loaded container or a remote
-  solve service — so latency-hiding machinery such as speculative
-  CEGAR can be benchmarked deterministically even on a single core);
 - :func:`corrupt_checkpoint` / :func:`truncate_checkpoint` — damage a
   checkpoint journal entry on disk right after it was written (the
   reader must detect the bad checksum and fall back);
@@ -62,8 +58,7 @@ _WORKER_KINDS = ("kill_worker", "drop_entry", "corrupt_entry", "delay_verdict")
 _JOURNAL_KINDS = ("corrupt_checkpoint", "truncate_checkpoint",
                   "kill_after_checkpoint")
 _STORE_KINDS = ("torn_segment", "corrupt_manifest", "stale_lock", "enospc")
-_LATENCY_KINDS = ("delay_solve",)
-KINDS = _WORKER_KINDS + _JOURNAL_KINDS + _STORE_KINDS + _LATENCY_KINDS
+KINDS = _WORKER_KINDS + _JOURNAL_KINDS + _STORE_KINDS
 
 #: What a corrupted streamed cache entry is replaced with: not a
 #: :class:`~repro.formal.cache.CachedVerdict`, so a validating merge
@@ -111,20 +106,6 @@ def delay_verdict(engine: str, delay: float, attempt: int = 0) -> FaultSpec:
     """Sleep ``delay`` seconds before shipping the final verdict."""
     return FaultSpec("delay_verdict", engine=engine, delay=delay,
                      attempt=attempt)
-
-
-def delay_solve(delay: float) -> FaultSpec:
-    """Sleep ``delay`` seconds before each model-checking call.
-
-    Engine-agnostic: the sleep happens in whichever process is about
-    to dispatch a model-checking run (the CEGAR loop inline, a
-    speculative candidate worker, a serve-daemon handler), so injected
-    latency overlaps across processes exactly as real backend latency
-    would.  The run's trajectory is unaffected — only wall-clock time
-    moves — which makes this the fault of choice for benchmarking
-    latency-hiding schedulers.
-    """
-    return FaultSpec("delay_solve", delay=delay)
 
 
 def corrupt_checkpoint(index: int = 0) -> FaultSpec:
@@ -240,10 +221,6 @@ class FaultPlan:
         """Seconds to sleep before shipping the final verdict."""
         return sum(spec.delay
                    for spec in self._matching("delay_verdict", engine, attempt))
-
-    def solve_delay(self) -> float:
-        """Seconds to sleep before dispatching a model-checking call."""
-        return sum(spec.delay for spec in self._matching("delay_solve"))
 
     # -- journal-side hooks ------------------------------------------------
 

@@ -66,6 +66,8 @@ class Circuit:
         self._producer: Dict[str, Cell] = {}
         self._register_of: Dict[str, Register] = {}
         self._topo_cache: Optional[List[Cell]] = None
+        #: Set by a successful :meth:`validate`; cleared with the topo cache.
+        self._validated = False
 
     # ------------------------------------------------------------------
     # construction
@@ -82,6 +84,7 @@ class Circuit:
         elif signal.kind is SignalKind.OUTPUT:
             self.outputs.append(signal)
         self._topo_cache = None
+        self._validated = False
         return signal
 
     def add_cell(self, cell: Cell) -> Cell:
@@ -97,6 +100,7 @@ class Circuit:
         self.cells.append(cell)
         self._producer[cell.out.name] = cell
         self._topo_cache = None
+        self._validated = False
         return cell
 
     def adopt_cell(self, cell: Cell) -> Cell:
@@ -113,6 +117,7 @@ class Circuit:
         self.cells.append(cell)
         self._producer[cell.out.name] = cell
         self._topo_cache = None
+        self._validated = False
         return cell
 
     def add_register(self, register: Register) -> Register:
@@ -124,6 +129,7 @@ class Circuit:
         self.registers.append(register)
         self._register_of[register.q.name] = register
         self._topo_cache = None
+        self._validated = False
         return register
 
     # ------------------------------------------------------------------
@@ -225,13 +231,18 @@ class Circuit:
         collects *every* violation before raising — the exception
         message lists them all.  When the only violations are
         combinational cycles, :class:`CombinationalLoopError` is raised
-        for compatibility with loop-specific handlers.
+        for compatibility with loop-specific handlers.  A success is
+        recorded until the next mutator call, so re-validating an
+        unchanged circuit (every simulator construction) is free.
         """
+        if self._validated:
+            return
         from repro.lint.structural import invariant_diagnostics
 
         violations = invariant_diagnostics(self)
         if not violations:
             self.topo_cells()  # populate the cache on the happy path
+            self._validated = True
             return
         messages = []
         for diag in violations:

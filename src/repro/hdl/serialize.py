@@ -112,6 +112,7 @@ def circuit_from_dict(data: Dict[str, Any], validate: bool = True) -> Circuit:
             circuit.cells.append(cell)
             circuit._producer.setdefault(cell.out.name, cell)
             circuit._topo_cache = None
+            circuit._validated = False
     if validate:
         circuit.validate()
     return circuit

@@ -453,6 +453,33 @@ class TestCegarPrescreen:
         if pre.stats.static_skipped_bounds:
             assert pre_frames < base_frames
 
+    def test_prescreen_parity_on_sodor_contract(self):
+        """The tiny Sodor contract, BMC straight away (no induction, no
+        simulation prefilter): the pre-screen keeps the verdict and
+        bound and proves at least one frame clean, so strictly fewer
+        frames reach the solver."""
+        from repro.cegar.loop import CegarConfig, run_compass
+        from repro.contracts import make_contract_task
+        from repro.cores import CoreConfig, core_registry
+        from repro.obs import Tracer
+
+        def run(prescreen):
+            core = core_registry()["Sodor"](CoreConfig.formal(
+                xlen=4, imem_depth=4, dmem_depth=4, secret_words=1))
+            tracer = Tracer()
+            config = CegarConfig(engine="sequential", use_induction=False,
+                                 sim_prefilter=False, max_bound=2,
+                                 max_refinements=2, seed=0,
+                                 static_prescreen=prescreen, trace=tracer)
+            result = run_compass(make_contract_task(core), config)
+            return result, _frame_solves(tracer)
+
+        base, base_frames = run(False)
+        pre, pre_frames = run(True)
+        assert (pre.status, pre.bound) == (base.status, base.bound)
+        assert pre.stats.static_skipped_bounds >= 1
+        assert pre_frames < base_frames
+
     def test_prune_static_accept(self):
         """Pruning accepts undos without replay when the sinks are
         statically unreachable under the trial scheme."""

@@ -123,3 +123,29 @@ class TestQueries:
         circ = b.build()
         index = circ.fanout_index()
         assert len(index[a.name]) == 2
+
+
+class TestValidateOnce:
+    def test_unchanged_circuit_is_checked_once(self, monkeypatch):
+        import repro.lint.structural as structural
+        from repro.sim import Simulator
+
+        passes = []
+        real = structural.invariant_diagnostics
+        monkeypatch.setattr(structural, "invariant_diagnostics",
+                            lambda circ: passes.append(circ) or real(circ))
+        c = Circuit("t")
+        a = c.add_signal(Signal("a", 1, SignalKind.INPUT))
+        c.add_cell(Cell(CellOp.NOT, Signal("o", 1, SignalKind.OUTPUT), (a,)))
+        for _ in range(5):
+            Simulator(c)
+        assert len(passes) == 1
+
+        # A mutation clears the record: the loop it adds is caught on
+        # the next construction.
+        x, y = c.add_signal(_wire("x")), _wire("y")
+        c.add_cell(Cell(CellOp.BUF, y, (x,)))
+        c.add_cell(Cell(CellOp.BUF, x, (y,)))
+        with pytest.raises(CombinationalLoopError):
+            Simulator(c)
+        assert len(passes) == 2

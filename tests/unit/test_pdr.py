@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.hdl import ModuleBuilder
-from repro.formal import SafetyProperty
+from repro.formal import (
+    PortfolioConfig, PortfolioStatus, SafetyProperty, verify_portfolio)
 from repro.formal.certificate import Certificate, check_certificate
 from repro.formal.pdr import PdrStatus, pdr_prove
 
@@ -82,6 +83,23 @@ class TestProofs:
         prop = SafetyProperty("p", bad, symbolic_registers=frozenset({"secret", "pub"}))
         res = pdr_prove(design.circuit, prop, time_limit=60)
         assert res.status is PdrStatus.PROVED
+
+
+class TestPortfolioRace:
+    def test_pdr_wins_the_wrap_counter_race(self):
+        """The unreachable chain 4 -> ... -> 9 defeats k-induction up to
+        k=5 and BMC only reaches its bound, so the one definitive
+        verdict in the race must be PDR's proof."""
+        res = verify_portfolio(
+            wrap_counter(), SafetyProperty("p", "bad"),
+            PortfolioConfig(engines=("bmc", "kind", "pdr"), max_bound=8,
+                            induction_max_k=5, pdr_max_frames=30,
+                            time_limit=60),
+        )
+        assert res.status is PortfolioStatus.PROVED
+        assert res.winner == "pdr"
+        assert res.certificate is not None
+        assert res.certificate_ok is True
 
 
 class TestCertificates:

@@ -49,10 +49,12 @@ WIDTH = 8
 
 
 def make_task():
-    """A small staggered-pipeline design (see tools/bench_cegar.py):
-    one safe-but-overtainted mux gadget per pipeline depth, forcing
-    one model-checking call per gadget — enough MC-bound iterations
-    for speculation to engage."""
+    """A small staggered-pipeline design: one secret register feeds
+    mux gadgets that are safe (the select is a constant zero) but
+    overtainted under the naive scheme, each behind a pipeline of a
+    different depth.  No counterexample is long enough to expose the
+    next gadget, which forces one model-checking call per gadget —
+    enough MC-bound iterations for speculation to engage."""
     b = ModuleBuilder("specsmoke")
     zero = b.const(0, 1)
     zw = b.const(0, WIDTH)
